@@ -9,7 +9,7 @@ GO ?= go
 # but fails the build on any real erosion.
 COVER_MIN ?= 91.0
 
-.PHONY: all build vet test race bench bench-check bench-baseline cover fuzz crash-suite dist-suite api-suite parse-suite hostile-suite fresh-suite telemetry-smoke experiments report clean
+.PHONY: all build vet test race bench bench-check bench-baseline cover fuzz stress crash-suite dist-suite api-suite parse-suite hostile-suite fresh-suite telemetry-smoke experiments report clean
 
 all: build vet test
 
@@ -125,6 +125,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzLeaseWireCodec -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzJobSpecDecode -fuzztime=30s ./internal/jobs/
+
+# Schedule-independence gate: every test of the concurrent stores and
+# queues at -count=20, the crawler and its conformance proofs (dist,
+# live, kill-resume, recrawl) at -count=5, all under -race at 1, 2 and
+# 4 CPUs — a test that passes only when one goroutine wins a race, or
+# only on one core count, fails here. About 18 minutes on 2 CPUs; the
+# crawler package alone needs ~8 of them, so the per-package timeout is
+# raised above go test's 10-minute default.
+stress:
+	$(GO) test -race -cpu 1,2,4 -count=20 -timeout 30m ./internal/linkdb/ ./internal/crawlog/ ./internal/frontier/
+	$(GO) test -race -cpu 1,2,4 -count=5 -timeout 30m ./internal/crawler/
+	$(GO) test -race -cpu 1,2,4 -count=5 -timeout 30m -run 'Dist|Live|KillResume|Recrawl' ./internal/conformance/
 
 # Crash-safety suite: kill-resume equivalence against every golden
 # trace, crash-at-every-op/byte checkpoint sweeps on the injectable

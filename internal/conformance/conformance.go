@@ -4,9 +4,14 @@
 // space. The engines that followed the original — the fault-layer
 // engine at injection rate zero, the timed engine at concurrency one,
 // the sharded frontier in sequential-equivalence mode, and the live
-// crawler pair — are each held to those traces, so a refactor that
-// silently changes crawl order fails a test instead of shifting every
+// crawler — are each held to those traces, so a refactor that silently
+// changes crawl order fails a test instead of shifting every
 // experiment's curves.
+//
+// The live crawler's one-worker order is not the simulator's (its
+// frontier sees links in fetch-completion order), so it has recorded
+// goldens of its own: live-<key>.golden holds its ordered visits plus
+// the SHA-256 of the crawl log it writes, pinning the log byte for byte.
 //
 // Regenerate the goldens (after an intentional ordering change) with:
 //
@@ -16,6 +21,8 @@ package conformance
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"strconv"
@@ -23,6 +30,7 @@ import (
 
 	"langcrawl/internal/charset"
 	"langcrawl/internal/core"
+	"langcrawl/internal/crawlog"
 	"langcrawl/internal/sim"
 	"langcrawl/internal/webgraph"
 )
@@ -70,6 +78,19 @@ func Cases() []Case {
 	}
 }
 
+// LiveCases are the strategies whose one-worker live crawl is pinned by
+// a recorded live-<key>.golden.
+func LiveCases() []Case {
+	return []Case{
+		{"bfs", core.BreadthFirst{}},
+		{"soft", core.SoftFocused{}},
+		{"hard", core.HardFocused{}},
+	}
+}
+
+// LiveGoldenKey names the recorded live golden for a case key.
+func LiveGoldenKey(key string) string { return "live-" + key }
+
 // Trace is one captured crawl: summary metrics plus the ordered page
 // visits.
 type Trace struct {
@@ -78,7 +99,43 @@ type Trace struct {
 	Relevant int
 	Harvest  float64 // percent
 	Coverage float64 // percent
-	Visits   []webgraph.PageID
+	// LogSHA256 is the hex SHA-256 of the crawl log a live crawl wrote
+	// ("" for simulator traces, which write none).
+	LogSHA256 string
+	Visits    []webgraph.PageID
+}
+
+// TraceFromLog converts a live crawl's log into a Trace by mapping each
+// record's URL back to its page in space. A record counts as relevant
+// when it is a 200 of a relevant page.
+func TraceFromLog(space *webgraph.Space, strategy string, log []byte) (*Trace, error) {
+	r, err := crawlog.NewReader(bytes.NewReader(log))
+	if err != nil {
+		return nil, err
+	}
+	recs, err := r.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	byURL := make(map[string]webgraph.PageID, space.N())
+	for id := 0; id < space.N(); id++ {
+		byURL[space.URL(webgraph.PageID(id))] = webgraph.PageID(id)
+	}
+	sum := sha256.Sum256(log)
+	tr := &Trace{Strategy: strategy, Crawled: len(recs), LogSHA256: hex.EncodeToString(sum[:])}
+	for _, rec := range recs {
+		id, ok := byURL[rec.URL]
+		if !ok {
+			return nil, fmt.Errorf("conformance: log contains unknown URL %q", rec.URL)
+		}
+		tr.Visits = append(tr.Visits, id)
+		if rec.Status == 200 && space.IsRelevant(id) {
+			tr.Relevant++
+		}
+	}
+	tr.Harvest = 100 * float64(tr.Relevant) / float64(max(tr.Crawled, 1))
+	tr.Coverage = 100 * float64(tr.Relevant) / float64(max(space.RelevantTotal(), 1))
+	return tr, nil
 }
 
 // Capture runs the reference engine — the sequential untimed simulator —
@@ -111,6 +168,9 @@ func (t *Trace) Encode() []byte {
 	fmt.Fprintf(&b, "relevant: %d\n", t.Relevant)
 	fmt.Fprintf(&b, "harvest: %.6f\n", t.Harvest)
 	fmt.Fprintf(&b, "coverage: %.6f\n", t.Coverage)
+	if t.LogSHA256 != "" {
+		fmt.Fprintf(&b, "log-sha256: %s\n", t.LogSHA256)
+	}
 	fmt.Fprintf(&b, "visits:\n")
 	for _, id := range t.Visits {
 		fmt.Fprintf(&b, "%d\n", id)
@@ -158,6 +218,8 @@ func DecodeTrace(data []byte) (*Trace, error) {
 			t.Harvest, err = strconv.ParseFloat(val, 64)
 		case "coverage":
 			t.Coverage, err = strconv.ParseFloat(val, 64)
+		case "log-sha256":
+			t.LogSHA256 = val
 		case "visits":
 			inVisits = true
 		default:
@@ -216,6 +278,9 @@ func (t *Trace) Diff(other *Trace) string {
 		if t.Visits[i] != other.Visits[i] {
 			return fmt.Sprintf("visit %d: page %d vs %d", i, t.Visits[i], other.Visits[i])
 		}
+	}
+	if t.LogSHA256 != other.LogSHA256 {
+		return fmt.Sprintf("crawl log sha256 %s vs %s", t.LogSHA256, other.LogSHA256)
 	}
 	return ""
 }

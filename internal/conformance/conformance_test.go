@@ -282,82 +282,57 @@ func liveTrace(t *testing.T, sp *webgraph.Space, client *http.Client,
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := crawlog.NewReader(bytes.NewReader(buf.Bytes()))
+	tr, err := TraceFromLog(sp, strat.Name(), buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byURL := make(map[string]webgraph.PageID, sp.N())
-	for id := 0; id < sp.N(); id++ {
-		byURL[sp.URL(webgraph.PageID(id))] = webgraph.PageID(id)
-	}
-	tr := &Trace{Strategy: strat.Name(), Crawled: len(recs)}
-	for _, rec := range recs {
-		id, ok := byURL[rec.URL]
-		if !ok {
-			t.Fatalf("log contains unknown URL %q", rec.URL)
-		}
-		tr.Visits = append(tr.Visits, id)
-		if rec.Status == 200 && sp.IsRelevant(id) {
-			tr.Relevant++
-		}
-	}
-	tr.Harvest = 100 * float64(tr.Relevant) / float64(max(tr.Crawled, 1))
-	tr.Coverage = 100 * float64(tr.Relevant) / float64(max(sp.RelevantTotal(), 1))
 	return tr, buf.Bytes()
 }
 
-// TestGoldenLiveEngines runs the real HTTP crawler — sequential engine
-// and parallel engine in sequential-equivalence mode — over a served
-// copy of the conformance space. The two live engines must produce
-// byte-identical crawl logs (the refactor's acceptance bar), and both
-// must crawl exactly the golden trace's page set.
+// TestGoldenLiveEngines runs the real HTTP crawler at its default one
+// worker over a served copy of the conformance space. Its crawl must
+// match the recorded live golden exactly — visit order and crawl-log
+// bytes, by SHA-256 — and, for the strategies whose follow decision is
+// order-independent, crawl exactly the simulator golden's page set.
+// With -update it rewrites the live goldens instead.
 func TestGoldenLiveEngines(t *testing.T) {
 	sp := space(t)
 	client := liveWeb(t, sp)
-	for _, c := range []Case{
-		{"bfs", core.BreadthFirst{}},
-		{"soft", core.SoftFocused{}},
-	} {
-		seqTr, seqLog := liveTrace(t, sp, client, c.Strategy, nil)
-		parTr, parLog := liveTrace(t, sp, client, c.Strategy, func(cfg *crawler.Config) {
-			cfg.UseParallelEngine = true
-		})
-		if !bytes.Equal(seqLog, parLog) {
-			t.Errorf("%s: live parallel engine in sequential-equivalence mode wrote a different log (%d vs %d bytes)",
-				c.Key, len(seqLog), len(parLog))
+	for _, c := range LiveCases() {
+		tr, _ := liveTrace(t, sp, client, c.Strategy, nil)
+		key := LiveGoldenKey(c.Key)
+		if *update {
+			if err := tr.Save(goldenPath(key)); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s (%d visits)", goldenPath(key), len(tr.Visits))
+			continue
 		}
-		if d := seqTr.Diff(parTr); d != "" {
-			t.Errorf("%s: live engines diverged: %s", c.Key, d)
+		if d := golden(t, key).Diff(tr); d != "" {
+			t.Errorf("%s: live crawl diverged from its recorded golden: %s", key, d)
 		}
-		if d := golden(t, c.Key).DiffSet(seqTr); d != "" {
+		if c.Key == "hard" {
+			continue // hard-focused's live page set is not the simulator's
+		}
+		if d := golden(t, c.Key).DiffSet(tr); d != "" {
 			t.Errorf("%s: live crawl set diverged from golden: %s", c.Key, d)
 		}
 	}
 }
 
-// TestGoldenLiveTelemetry runs the live sequential engine with a full
-// CrawlStats bundle wired and requires the crawl log to be byte-equal
-// to an uninstrumented run — the strongest no-perturbation check the
-// live stack offers.
+// TestGoldenLiveTelemetry runs the live crawler with a full CrawlStats
+// bundle wired and requires its crawl log to be byte-equal to the
+// recorded uninstrumented golden — the strongest no-perturbation check
+// the live stack offers.
 func TestGoldenLiveTelemetry(t *testing.T) {
 	sp := space(t)
 	client := liveWeb(t, sp)
-	bareTr, bareLog := liveTrace(t, sp, client, core.SoftFocused{}, nil)
 	stats := telemetry.NewCrawlStats(telemetry.NewRegistry())
-	telTr, telLog := liveTrace(t, sp, client, core.SoftFocused{}, func(cfg *crawler.Config) {
+	telTr, _ := liveTrace(t, sp, client, core.SoftFocused{}, func(cfg *crawler.Config) {
 		cfg.Telemetry = stats
-		cfg.UseParallelEngine = true // exercise the instrumented parallel path too
 	})
-	if !bytes.Equal(bareLog, telLog) {
-		t.Errorf("telemetry-enabled live crawl wrote a different log (%d vs %d bytes)",
-			len(bareLog), len(telLog))
-	}
-	if d := bareTr.Diff(telTr); d != "" {
-		t.Errorf("telemetry-enabled live crawl diverged: %s", d)
+	if d := golden(t, LiveGoldenKey("soft")).Diff(telTr); d != "" {
+		t.Errorf("telemetry-enabled live crawl diverged from the recorded golden: %s", d)
 	}
 	if got := stats.Pages.Value(); got != int64(telTr.Crawled) {
 		t.Errorf("pages counter %d != crawled %d", got, telTr.Crawled)
@@ -368,7 +343,7 @@ func TestGoldenLiveTelemetry(t *testing.T) {
 	}
 }
 
-// TestGoldenLiveShardedWorkers runs the live parallel engine at full
+// TestGoldenLiveShardedWorkers runs the live crawler at full
 // width — 8 workers over an 8-shard batched frontier — and checks set
 // equality against the golden: order may differ, coverage may not.
 func TestGoldenLiveShardedWorkers(t *testing.T) {

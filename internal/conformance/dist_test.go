@@ -174,11 +174,17 @@ func TestDistKillResumeInPlace(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(ids))
 	kills := 0
+	// The survivors start only once the casualty has returned from its
+	// first run, so it always dies first: alone, it is sure to crawl
+	// its 17 pages before anyone can drain the partitions under it.
+	firstRun := make(chan struct{})
+	var firstOnce sync.Once
 	for i, id := range ids {
 		wg.Add(1)
 		if i > 0 {
 			go func() {
 				defer wg.Done()
+				<-firstRun
 				_, errs[i] = dist.RunWorker(context.Background(), h.workerOpts(id))
 			}()
 			continue
@@ -191,6 +197,7 @@ func TestDistKillResumeInPlace(t *testing.T) {
 				o := h.workerOpts(id)
 				o.StopAfter = stopAt
 				_, err := dist.RunWorker(context.Background(), o)
+				firstOnce.Do(func() { close(firstRun) })
 				if errors.Is(err, checkpoint.ErrKilled) {
 					kills++
 					if kills > 1000 {
@@ -230,12 +237,17 @@ func TestDistLeaseMigration(t *testing.T) {
 	ids := []string{"w1", "w2", "w3"}
 	var wg sync.WaitGroup
 	errs := make([]error, len(ids))
+	// The survivors start only after the casualty has returned, so it
+	// always dies holding leases they must wait out: alone, it is sure
+	// to crawl its 11 pages before anyone can drain the partitions.
+	casualtyDone := make(chan struct{})
 	for i, id := range ids {
 		wg.Add(1)
 		if i == 0 {
 			// The casualty: dies after 11 pages, stays dead.
 			go func() {
 				defer wg.Done()
+				defer close(casualtyDone)
 				o := h.workerOpts(id)
 				o.StopAfter = 11
 				_, err := dist.RunWorker(context.Background(), o)
@@ -247,6 +259,7 @@ func TestDistLeaseMigration(t *testing.T) {
 		}
 		go func() {
 			defer wg.Done()
+			<-casualtyDone
 			_, errs[i] = dist.RunWorker(context.Background(), h.workerOpts(id))
 		}()
 	}

@@ -125,7 +125,7 @@ func diffURLSets(t *testing.T, label string, want, got map[string]bool) {
 }
 
 // TestHostileChaosSequential is the headline chaos proof for the
-// sequential engine: benign space + full zoo, all defenses on. The
+// one-worker crawl: benign space + full zoo, all defenses on. The
 // crawl must drain its frontier unaided (no MaxPages crutch), within a
 // wall-clock bound, with a bounded frontier, crawling the benign golden
 // set exactly, and every defense family must have fired.

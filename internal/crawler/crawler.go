@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -25,12 +24,10 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
-	"langcrawl/internal/frontier"
 	"langcrawl/internal/linkdb"
 	"langcrawl/internal/metrics"
 	"langcrawl/internal/parse"
 	"langcrawl/internal/telemetry"
-	"langcrawl/internal/urlutil"
 )
 
 // Config parameterizes a crawl.
@@ -67,9 +64,9 @@ type Config struct {
 	MaxPages int
 	// MaxBodyBytes caps each response body read (default 1 MiB).
 	MaxBodyBytes int64
-	// HostInterval is the minimum delay between requests to one host.
-	// The crawl loop is sequential, so this is enforced by sleeping when
-	// the next URL's host was hit too recently.
+	// HostInterval is the minimum delay between requests to one host
+	// (raised by a robots.txt Crawl-delay). Each fetch books its host's
+	// next slot in the politeness ledger and sleeps until its turn.
 	HostInterval time.Duration
 	// IgnoreRobots skips robots.txt handling (simulated webs only).
 	IgnoreRobots bool
@@ -84,24 +81,20 @@ type Config struct {
 	// remaining queue is written back. A crawl that drains its frontier
 	// removes the file. Combined with DB this gives stop/resume crawls.
 	FrontierPath string
-	// Parallelism is the number of concurrent fetch workers (default 1,
-	// fully deterministic). With more workers, frontier order is
-	// approximate and politeness is still enforced per host.
+	// Parallelism is the number of concurrent fetch workers (default 1).
+	// With one worker, FrontierShards and FrontierBatch at their
+	// defaults, the crawl is fully deterministic: its order and crawl log
+	// are pinned by the recorded live goldens. With more workers,
+	// frontier order is approximate and politeness is still enforced per
+	// host.
 	Parallelism int
-	// UseParallelEngine forces the concurrent engine even at Parallelism
-	// 1. With FrontierShards and FrontierBatch at their defaults this is
-	// sequential-equivalence mode: the parallel machinery runs but must
-	// reproduce the sequential engine's crawl order exactly (the
-	// conformance suite holds it to that).
-	UseParallelEngine bool
-	// FrontierShards stripes the parallel engine's frontier across N
-	// host-hashed shards, each with its own lock and queue (default 1:
-	// a single shard, preserving global frontier order). Ignored by the
-	// sequential engine.
+	// FrontierShards stripes the frontier across N host-hashed shards,
+	// each with its own lock and queue (default 1: a single shard,
+	// preserving global frontier order).
 	FrontierShards int
 	// FrontierBatch stages frontier inserts per shard and applies them to
 	// the priority structure a batch at a time (default 1: unbatched,
-	// every push immediately visible). Ignored by the sequential engine.
+	// every push immediately visible).
 	FrontierBatch int
 	// AppendBatch group-commits Log and DB appends in batches of this
 	// size (default 1: today's synchronous path). Batched DB commits end
@@ -144,7 +137,7 @@ type Config struct {
 	// zero value disables the guard.
 	HostBudget HostBudget
 	// Telemetry, when non-nil, receives runtime counters, latency
-	// histograms, and trace events from both engines (see
+	// histograms, and trace events from the engine (see
 	// telemetry.NewCrawlStats). Observation-only: an instrumented crawl
 	// fetches exactly the pages an uninstrumented one does. nil disables
 	// all instrumentation at the cost of one branch per event.
@@ -184,7 +177,7 @@ type Config struct {
 	// instead of wall-clock-dependent behavior.
 	Now func() time.Time
 	// Recrawl enables the incremental crawl mode: after the discovery
-	// frontier drains, the sequential engine runs Recrawl.Passes extra
+	// frontier drains, the engine runs Recrawl.Passes extra
 	// revisit passes over the crawled corpus, ordered by estimated
 	// per-URL change rate and revalidated with conditional GET
 	// (If-None-Match / If-Modified-Since), so unchanged pages cost a 304
@@ -223,8 +216,7 @@ type Crawler struct {
 	flt      *faultCtl
 	tel      *telemetry.CrawlStats // nil when telemetry is off
 	// rc is the incremental-mode revisit controller, nil for one-shot
-	// crawls. Non-nil only with the sequential engine (New enforces it),
-	// so it is accessed without locking.
+	// crawls. Workers touch it only under the engine's mu.
 	rc *recrawlCtl
 }
 
@@ -253,9 +245,6 @@ func New(cfg Config) (*Crawler, error) {
 	}
 	if cfg.Recrawl.Passes < 0 {
 		return nil, errors.New("crawler: Recrawl.Passes must be >= 0")
-	}
-	if cfg.Recrawl.Passes > 0 && (cfg.Parallelism > 1 || cfg.UseParallelEngine) {
-		return nil, errors.New("crawler: Recrawl requires the sequential engine")
 	}
 	c := &Crawler{
 		cfg:    cfg,
@@ -298,274 +287,10 @@ type qitem struct {
 	revisit bool
 }
 
-// Run crawls until the frontier drains, MaxPages is reached, or ctx is
-// canceled (in-flight requests finish first). With Config.Parallelism
-// greater than one (or UseParallelEngine set) the concurrent engine in
-// parallel.go takes over.
-func (c *Crawler) Run(ctx context.Context) (*Result, error) {
-	if c.cfg.Parallelism > 1 || c.cfg.UseParallelEngine {
-		return c.runParallel(ctx)
-	}
-	return c.runSequential(ctx)
-}
-
-// runSequential is the deterministic single-worker crawl loop.
-func (c *Crawler) runSequential(ctx context.Context) (*Result, error) {
-	res := &Result{Harvest: &metrics.Series{Name: c.cfg.Strategy.Name()}}
-	queue := frontier.New[qitem](c.cfg.Strategy.QueueKind())
-	seen := checkpoint.NewSeen(0)
-	observer, _ := c.cfg.Strategy.(core.QueueObserver)
-	sinks := c.newSinks()
-	defer sinks.close()
-
-	ck, err := c.openCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	resumed := ck.resume(res, seen, c.flt, c.guard, func(e checkpoint.Entry) {
-		if e.Revisit {
-			if c.rc != nil {
-				c.rc.pushEntry(e)
-			}
-			return
-		}
-		queue.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
-	})
-	if resumed && c.rc != nil {
-		c.rc.restore(ck.st)
-	}
-	if !resumed {
-		if c.cfg.FrontierPath != "" {
-			items, err := loadFrontierWarn(c.cfg.FrontierPath)
-			if err != nil {
-				return nil, fmt.Errorf("crawler: loading frontier: %w", err)
-			}
-			for _, it := range items {
-				queue.Push(it, it.prio)
-			}
-		}
-		for _, s := range c.cfg.Seeds {
-			u, err := urlutil.Normalize(s)
-			if err != nil {
-				return nil, fmt.Errorf("crawler: seed %q: %w", s, err)
-			}
-			queue.Push(qitem{url: u, prio: 1}, 1)
-		}
-	}
-	// SeedItems go in even on resume: a leased batch delivered after the
-	// last snapshot is not in the restored frontier, and re-pushing
-	// entries that are is deduplicated by the seen-set skip below.
-	for _, e := range c.cfg.SeedItems {
-		queue.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
-	}
-
-	// writeCk flushes the sinks for durable positions, snapshots the
-	// frontier by draining and re-pushing it (each item at its current
-	// effective priority, so the running crawl's order is unchanged),
-	// and writes the checkpoint.
-	writeCk := func() error {
-		logPos, dbPos, err := sinks.sync(c.cfg.Log, c.cfg.DB)
-		if err != nil {
-			return fmt.Errorf("crawler: flushing appends for checkpoint: %w", err)
-		}
-		var items []qitem
-		for {
-			it, ok := queue.Pop()
-			if !ok {
-				break
-			}
-			items = append(items, it)
-		}
-		entries := make([]checkpoint.Entry, len(items))
-		for i, it := range items {
-			prio := it.prio - float64(it.demoted)
-			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio, Revisit: it.revisit}
-			queue.Push(it, prio)
-		}
-		if c.rc != nil {
-			entries = append(entries, c.rc.pendingEntries()...)
-		}
-		res.MaxQueueLen = max(res.MaxQueueLen, queue.MaxLen())
-		return ck.write(c, res, seen, entries, logPos, dbPos)
-	}
-
-	for {
-		if ck.due(res.Crawled) {
-			if err := writeCk(); err != nil {
-				return res, err
-			}
-			ck.advance(res.Crawled)
-		}
-		if c.cfg.StopAfter > 0 && res.Crawled >= c.cfg.StopAfter {
-			// Emulated SIGKILL for the crash harness: no final checkpoint,
-			// no frontier save — recovery must reconstruct everything.
-			return res, checkpoint.ErrKilled
-		}
-		if stopRequested(c.cfg.Stop) {
-			break // graceful drain: fall through to the final checkpoint
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		if c.cfg.MaxPages > 0 && res.Crawled >= c.cfg.MaxPages {
-			break
-		}
-		item, ok := queue.Pop()
-		if !ok && c.rc != nil {
-			// Discovery drained: the incremental mode takes over, popping
-			// revisits in change-rate order and starting new sweeps until
-			// the configured passes are spent.
-			item, ok = c.rc.next()
-		}
-		if !ok {
-			break
-		}
-		if !item.revisit && seen.Has(item.url) {
-			continue
-		}
-		host := urlutil.Host(item.url)
-		if !c.guard.admitFetch(host) {
-			continue // quarantined host: the URL is dropped outright
-		}
-		if !c.flt.allow(host) {
-			// Open breaker: demote the URL so other hosts go first, and
-			// drop it for good only after maxDemotions round trips.
-			if item.demoted < maxDemotions {
-				item.demoted++
-				queue.Push(item, item.prio-float64(item.demoted))
-			} else {
-				c.flt.gaveUp()
-			}
-			continue
-		}
-		seen.Add(item.url)
-		if !item.revisit && sinks.db != nil && sinks.db.Has(item.url) {
-			continue // already crawled in a previous run
-		}
-
-		if !c.cfg.IgnoreRobots && !c.allowed(ctx, item.url, host) {
-			res.RobotsBlocked++
-			c.tel.RobotsBlocked.Inc()
-			continue
-		}
-		interval := c.cfg.HostInterval
-		if rb := c.cachedRobots(host); rb != nil {
-			interval = rb.Delay(interval) // honor Crawl-delay
-		}
-		if wait := c.polite.reserve(host, interval); wait > 0 {
-			time.Sleep(wait)
-		}
-
-		if item.revisit {
-			c.rc.arm(item.url)
-		}
-		out := c.fetchWithRetry(ctx, item.url, host)
-		if item.revisit {
-			c.rc.disarm()
-		}
-		res.Errors += out.transportErrs
-		if sinks.log != nil {
-			for _, frec := range out.failed {
-				if err := sinks.log.Write(frec); err != nil {
-					return res, fmt.Errorf("crawler: writing log: %w", err)
-				}
-			}
-		}
-		if out.err != nil {
-			continue // gave up on this URL; the failure is on record
-		}
-		visit, links, rec := out.visit, out.links, out.rec
-		res.Crawled++
-		c.tel.Pages.Inc()
-		c.guard.recordPage(host, int64(len(visit.Body)))
-		if item.revisit {
-			// Revalidation outcome: fold it into the ledger and the
-			// freshness counters. Revisits consume the page budget and are
-			// logged, but never classify, expand the frontier, or touch
-			// the link DB — a sweep refreshes copies, it is not discovery.
-			c.rc.applyRevisit(item.url, visit)
-			if sinks.log != nil {
-				if err := sinks.log.Write(rec); err != nil {
-					return res, fmt.Errorf("crawler: writing log: %w", err)
-				}
-			}
-			continue
-		}
-		if c.rc != nil {
-			c.rc.observeDiscovery(item.url, item.dist, visit)
-		}
-		score := c.classify(visit)
-		if score >= 0.5 {
-			res.Relevant++
-			c.tel.Relevant.Inc()
-		}
-		res.Harvest.Add(float64(res.Crawled), 100*float64(res.Relevant)/float64(res.Crawled))
-
-		if sinks.log != nil {
-			if err := sinks.log.Write(rec); err != nil {
-				return res, fmt.Errorf("crawler: writing log: %w", err)
-			}
-		}
-		if sinks.db != nil {
-			if err := sinks.db.Put(rec); err != nil {
-				return res, fmt.Errorf("crawler: writing linkdb: %w", err)
-			}
-		}
-
-		dec := c.cfg.Strategy.Decide(score, int(item.dist))
-		if visit.Status == 200 && dec.Follow {
-			if c.cfg.LinkSink != nil {
-				var out []checkpoint.Entry
-				for _, l := range links {
-					if !seen.Has(l) && c.guard.admitLink(l) {
-						out = append(out, checkpoint.Entry{URL: l, Dist: int32(dec.Dist), Prio: dec.Priority})
-					}
-				}
-				if len(out) > 0 {
-					if err := c.cfg.LinkSink(out); err != nil {
-						return res, fmt.Errorf("crawler: link sink: %w", err)
-					}
-				}
-			} else {
-				for _, l := range links {
-					if !seen.Has(l) && c.guard.admitLink(l) {
-						queue.Push(qitem{url: l, dist: int32(dec.Dist), prio: dec.Priority}, dec.Priority)
-					}
-				}
-			}
-		}
-		if observer != nil {
-			observer.ObserveQueueLen(queue.Len())
-		}
-	}
-	res.MaxQueueLen = max(res.MaxQueueLen, queue.MaxLen())
-	res.Faults = c.flt.snapshot()
-	if c.rc != nil {
-		res.Fresh = c.rc.fresh
-		res.Passes = c.rc.pass
-	}
-	if ck != nil {
-		// Final checkpoint: a later resume sees the finished state and
-		// has nothing left to redo.
-		if err := writeCk(); err != nil {
-			return res, err
-		}
-	}
-	if err := sinks.close(); err != nil {
-		return res, fmt.Errorf("crawler: flushing appends: %w", err)
-	}
-	if c.cfg.FrontierPath != "" {
-		if err := saveFrontier(c.cfg.FrontierPath, queue); err != nil {
-			return res, fmt.Errorf("crawler: saving frontier: %w", err)
-		}
-	}
-	return res, nil
-}
-
 // classify scores a visit and records classification telemetry: the
 // scoring latency plus the detect-once counters from the visit's
-// memoized detection pass. It takes no engine lock, so in the parallel
-// engine the detection of one page overlaps other workers' fetches.
+// memoized detection pass. It takes no engine lock, so the detection of
+// one page overlaps other workers' fetches.
 func (c *Crawler) classify(visit *core.Visit) float64 {
 	var t0 time.Time
 	if telemetry.Timed(c.tel.ClassifyTime) {
@@ -589,8 +314,8 @@ func (c *Crawler) cachedRobots(host string) *Robots {
 
 // allowed consults (fetching and caching once per host) robots.txt.
 // The cache is guarded by robotsMu; the fetch itself happens unlocked,
-// so under the parallel engine a host's robots may be fetched more than
-// once in a race, which is harmless — the first cached result wins.
+// so with several workers a host's robots may be fetched more than once
+// in a race, which is harmless — the first cached result wins.
 func (c *Crawler) allowed(ctx context.Context, pageURL, host string) bool {
 	c.robotsMu.Lock()
 	rb, ok := c.robots[host]
@@ -694,12 +419,28 @@ func (c *Crawler) stallInterval() time.Duration {
 	return c.cfg.StallTimeout
 }
 
+// validators are an HTTP response's cache validators. A revisit sends
+// the pair its last visit recorded as If-None-Match / If-Modified-Since,
+// so an unchanged page costs a 304 and no body.
+type validators struct{ etag, lastMod string }
+
+// page is what one successful HTTP exchange yields: the visit, its
+// normalized out-links, the crawl-log record, and the response's
+// validators.
+type page struct {
+	visit *core.Visit
+	links []string
+	rec   *crawlog.Record
+	val   validators
+}
+
 // fetch GETs pageURL and assembles the visit record: status, declared
 // charset (Content-Type header first, META second), true charset (by
-// detection over the body), and normalized extracted links. The request
-// runs under the per-request deadline and the stall watchdog; a body
-// cut short by a lying Content-Length is salvaged as a truncated page.
-func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []string, *crawlog.Record, error) {
+// detection over the body), and normalized extracted links. A non-zero
+// cond makes the request conditional. The request runs under the
+// per-request deadline and the stall watchdog; a body cut short by a
+// lying Content-Length is salvaged as a truncated page.
+func (c *Crawler) fetch(ctx context.Context, pageURL string, cond validators) (page, error) {
 	ctx, cancelReq := c.requestContext(ctx)
 	defer cancelReq()
 	// The watchdog aborts through its own cancel-cause, armed before Do
@@ -717,36 +458,29 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pageURL, nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return page{}, err
 	}
 	req.Header.Set("User-Agent", c.cfg.UserAgent)
-	if c.rc != nil {
-		// An armed revisit revalidates instead of refetching: the server
-		// may answer 304 with no body at all if the held copy is current.
-		if etag, lastMod, ok := c.rc.condFor(pageURL); ok {
-			if etag != "" {
-				req.Header.Set("If-None-Match", etag)
-			}
-			if lastMod != "" {
-				req.Header.Set("If-Modified-Since", lastMod)
-			}
-		}
+	// A revisit revalidates instead of refetching: the server may answer
+	// 304 with no body at all if the held copy is current.
+	if cond.etag != "" {
+		req.Header.Set("If-None-Match", cond.etag)
+	}
+	if cond.lastMod != "" {
+		req.Header.Set("If-Modified-Since", cond.lastMod)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		if watch != nil && watch.stop() {
 			c.tel.Hostile.Stall()
-			return nil, nil, nil, errStalled{d: stall}
+			return page{}, errStalled{d: stall}
 		}
-		return nil, nil, nil, err
+		return page{}, err
 	}
 	defer resp.Body.Close()
+	var val validators
 	if c.rc != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
-		// Stash the response validators for the crawl loop's ledger; the
-		// sequential engine is single-threaded, so plain fields suffice.
-		c.rc.lastVal.url = pageURL
-		c.rc.lastVal.etag = resp.Header.Get("ETag")
-		c.rc.lastVal.lastMod = resp.Header.Get("Last-Modified")
+		val = validators{etag: resp.Header.Get("ETag"), lastMod: resp.Header.Get("Last-Modified")}
 	}
 
 	// An explicit slow-down (429, or 503 with Retry-After) holds the
@@ -772,7 +506,7 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 		switch {
 		case watch != nil && watch.stop():
 			c.tel.Hostile.Stall()
-			return nil, nil, nil, errStalled{d: stall}
+			return page{}, errStalled{d: stall}
 		case len(body) > 0 && errors.Is(err, io.ErrUnexpectedEOF):
 			// The server declared more bytes than it sent (flipped
 			// Content-Length). What arrived is still a usable page;
@@ -781,7 +515,7 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 			c.tel.Hostile.Salvage()
 			truncated = true
 		default:
-			return nil, nil, nil, err
+			return page{}, err
 		}
 	}
 	if int64(len(body)) > c.cfg.MaxBodyBytes {
@@ -834,7 +568,7 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 		Links:       links,
 		Truncated:   truncated,
 	}
-	return visit, links, rec, nil
+	return page{visit: visit, links: links, rec: rec, val: val}, nil
 }
 
 // cutParams splits "text/html; charset=x" and returns the charset value.

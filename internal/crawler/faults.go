@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/metrics"
@@ -20,8 +19,7 @@ const maxDemotions = 3
 
 // faultCtl is the crawler's fault-tolerance state: retry policy, per-host
 // circuit breakers (on the wall clock), and the fault counters. It has
-// its own mutex so both engines — the lock-free sequential loop and the
-// mutex-sharing parallel workers — use the same calls.
+// its own mutex, so workers call it outside the engine lock.
 type faultCtl struct {
 	mu       sync.Mutex
 	retry    faults.RetryPolicy
@@ -243,15 +241,13 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 }
 
 // fetchOutcome is what one URL's fetch — possibly several attempts —
-// produced. When err is nil, visit/links/rec describe the page that was
-// finally obtained. failed carries one crawlog record per attempt that
-// did not produce that page (transport errors and retried 5xx), so no
-// failure is silently dropped from the log. transportErrs counts
-// attempts that died below HTTP (the Result.Errors unit).
+// produced. When err is nil, page is the one finally obtained. failed
+// carries one crawlog record per attempt that did not produce that page
+// (transport errors and retried 5xx), so no failure is silently dropped
+// from the log. transportErrs counts attempts that died below HTTP (the
+// Result.Errors unit).
 type fetchOutcome struct {
-	visit         *core.Visit
-	links         []string
-	rec           *crawlog.Record
+	page
 	err           error
 	failed        []*crawlog.Record
 	transportErrs int
@@ -261,7 +257,8 @@ type fetchOutcome struct {
 // retries disabled it degenerates to exactly one c.fetch call, preserving
 // the engine's original behavior; an exhausted-retries 5xx is returned as
 // a normal page (the status is recorded, as a single-attempt crawl would).
-func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetchOutcome {
+// Every attempt carries cond (see fetch).
+func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string, cond validators) fetchOutcome {
 	var out fetchOutcome
 	for attempt := 1; ; attempt++ {
 		c.flt.countAttempt(attempt > 1)
@@ -270,14 +267,14 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetc
 		if telemetry.Timed(c.tel.FetchLatency) {
 			t0 = time.Now()
 		}
-		visit, links, rec, err := c.fetch(ctx, pageURL)
+		p, err := c.fetch(ctx, pageURL, cond)
 		if !t0.IsZero() {
 			c.tel.FetchLatency.ObserveSince(t0)
 		}
 		c.tel.Inflight.Add(-1)
 		status := 0
-		if visit != nil {
-			status = visit.Status
+		if p.visit != nil {
+			status = p.visit.Status
 		}
 		class := faults.Classify(status, err)
 		if err != nil {
@@ -286,11 +283,11 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetc
 		}
 		if !class.Failed() {
 			c.flt.success(host)
-			if visit.Truncated {
+			if p.visit.Truncated {
 				c.flt.countTruncated()
 			}
-			c.tel.FetchBytes.Observe(float64(len(visit.Body)))
-			out.visit, out.links, out.rec = visit, links, rec
+			c.tel.FetchBytes.Observe(float64(len(p.visit.Body)))
+			out.page = p
 			return out
 		}
 		c.flt.failure(host)
@@ -303,14 +300,14 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetc
 				c.flt.gaveUp()
 			} else {
 				// Final 5xx: deliver it as the page's observation.
-				out.visit, out.links, out.rec = visit, links, rec
+				out.page = p
 			}
 			return out
 		}
 		// Log the failed attempt, back off, refetch. A Retry-After hold
 		// on the host (429/503 storms) stretches the backoff to honor
 		// the advertised wait.
-		frec := rec
+		frec := p.rec
 		if frec == nil {
 			frec = &crawlog.Record{URL: pageURL}
 		}

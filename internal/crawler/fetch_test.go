@@ -9,7 +9,14 @@ import (
 
 	"langcrawl/internal/charset"
 	"langcrawl/internal/core"
+	"langcrawl/internal/crawlog"
 )
+
+// fetchPage is an unconditional fetch, unpacked for assertions.
+func fetchPage(c *Crawler, url string) (*core.Visit, []string, *crawlog.Record, error) {
+	p, err := c.fetch(context.Background(), url, validators{})
+	return p.visit, p.links, p.rec, err
+}
 
 func TestCutParams(t *testing.T) {
 	cases := []struct {
@@ -72,7 +79,7 @@ func TestFetchAssemblesVisit(t *testing.T) {
 	}
 
 	// Header charset absent: the META declaration wins.
-	visit, links, rec, err := c.fetch(context.Background(), ts.URL+"/page.html")
+	visit, links, rec, err := fetchPage(c, ts.URL+"/page.html")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +95,7 @@ func TestFetchAssemblesVisit(t *testing.T) {
 
 	// Header charset present: it takes precedence over META.
 	sendHeaderCharset = true
-	visit, _, _, err = c.fetch(context.Background(), ts.URL+"/page.html")
+	visit, _, _, err = fetchPage(c, ts.URL+"/page.html")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestFetchNoFollowMeta(t *testing.T) {
 		Classifier: core.MetaClassifier{Target: charset.LangThai},
 		Client:     ts.Client(),
 	})
-	_, links, rec, err := c.fetch(context.Background(), ts.URL+"/p.html")
+	_, links, rec, err := fetchPage(c, ts.URL+"/p.html")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestFetchBodyCap(t *testing.T) {
 		Client:       ts.Client(),
 		MaxBodyBytes: 1024,
 	})
-	visit, _, _, err := c.fetch(context.Background(), ts.URL+"/big.html")
+	visit, _, _, err := fetchPage(c, ts.URL+"/big.html")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func loadFrontier(path string) (items []qitem, torn bool, err error) {
 	}
 }
 
-// loadFrontierWarn is the engines' entry point: a torn tail is worth a
+// loadFrontierWarn is the engine's entry point: a torn tail is worth a
 // warning on stderr but never aborts the resume.
 func loadFrontierWarn(path string) ([]qitem, error) {
 	items, torn, err := loadFrontier(path)

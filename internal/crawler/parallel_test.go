@@ -3,10 +3,12 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"langcrawl/internal/charset"
+	"langcrawl/internal/conformance"
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 )
@@ -67,7 +69,7 @@ func TestParallelExactBudget(t *testing.T) {
 
 func TestParallelMatchesSequentialSet(t *testing.T) {
 	// Order differs under concurrency, but an exhaustive crawl must end
-	// with the same totals as the sequential engine.
+	// with the same totals as the one-worker crawl.
 	space, _, client := testWeb(t, 400, 47)
 	mk := func(par int) *Result {
 		c, err := New(Config{
@@ -89,50 +91,54 @@ func TestParallelMatchesSequentialSet(t *testing.T) {
 	seq := mk(1)
 	par := mk(4)
 	if seq.Crawled != par.Crawled || seq.Relevant != par.Relevant {
-		t.Errorf("sequential %d/%d vs parallel %d/%d",
+		t.Errorf("one worker %d/%d vs four workers %d/%d",
 			seq.Crawled, seq.Relevant, par.Crawled, par.Relevant)
 	}
 }
 
 func TestParallelSequentialEquivalence(t *testing.T) {
-	// The acceptance bar for the sharded-frontier refactor: with one
-	// worker, one shard and batch size 1, the parallel engine must write
-	// a crawl log byte-identical to the sequential engine's — same pages,
-	// same order, same records.
-	space, _, client := testWeb(t, 400, 67)
-	for _, strat := range []core.Strategy{
-		core.BreadthFirst{}, core.SoftFocused{}, core.HardFocused{},
-	} {
-		run := func(parallel bool) []byte {
-			var buf bytes.Buffer
-			w, err := crawlog.NewWriter(&buf, crawlog.Header{Seeds: seedsOf(space)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := New(Config{
-				Seeds:             seedsOf(space),
-				Strategy:          strat,
-				Classifier:        core.MetaClassifier{Target: charset.LangThai},
-				Client:            client,
-				Log:               w,
-				IgnoreRobots:      true,
-				UseParallelEngine: parallel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
+	// Sequential-equivalence mode spelled out: one worker, one shard,
+	// batch size 1 and synchronous appends must write the crawl log the
+	// recorded live goldens pin — same pages, same order, same bytes.
+	space, _, client := testWeb(t, conformance.SpacePages, conformance.SpaceSeed)
+	for _, lc := range conformance.LiveCases() {
+		var buf bytes.Buffer
+		w, err := crawlog.NewWriter(&buf, crawlog.Header{Seeds: seedsOf(space)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, par := run(false), run(true)
-		if !bytes.Equal(seq, par) {
-			t.Errorf("%s: parallel engine in sequential-equivalence mode diverged: %d vs %d log bytes",
-				strat.Name(), len(seq), len(par))
+		c, err := New(Config{
+			Seeds:          seedsOf(space),
+			Strategy:       lc.Strategy,
+			Classifier:     conformance.Classifier(),
+			Client:         client,
+			Log:            w,
+			IgnoreRobots:   true,
+			Parallelism:    1,
+			FrontierShards: 1,
+			FrontierBatch:  1,
+			AppendBatch:    1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := conformance.TraceFromLog(space, lc.Strategy.Name(), buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := conformance.LiveGoldenKey(lc.Key)
+		want, err := conformance.Load(filepath.Join("..", "..", "results", "golden", key+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := want.Diff(got); d != "" {
+			t.Errorf("%s: sequential-equivalence crawl diverged from %s: %s", lc.Strategy.Name(), key, d)
 		}
 	}
 }

@@ -10,26 +10,28 @@ import (
 	"langcrawl/internal/metrics"
 )
 
-// RecrawlConfig parameterizes the incremental crawl mode of the
-// sequential engine. After the discovery frontier drains, the engine
-// runs Passes revisit sweeps over the corpus it crawled: each sweep
-// orders the known-live URLs by estimated per-URL change rate (pages
-// observed to change often are revalidated first) and refetches them
-// with conditional GET — If-None-Match / If-Modified-Since from the
-// validators the last visit recorded — so an unchanged page costs a
-// 304 and zero body bytes. Revisit fetches consume the MaxPages budget
-// and checkpoint like discovery fetches, but they never expand the
-// frontier: a sweep refreshes held copies, it does not re-run discovery.
+// RecrawlConfig parameterizes the crawler's incremental crawl mode.
+// After the discovery frontier drains, the engine runs Passes revisit
+// sweeps over the corpus it crawled: each sweep orders the known-live
+// URLs by estimated per-URL change rate (pages observed to change often
+// are revalidated first) and refetches them with conditional GET —
+// If-None-Match / If-Modified-Since from the validators the last visit
+// recorded — so an unchanged page costs a 304 and zero body bytes.
+// Revisit fetches consume the MaxPages budget and checkpoint like
+// discovery fetches, but they never expand the frontier: a sweep
+// refreshes held copies, it does not re-run discovery. A new sweep
+// starts only once every fetch of the previous one has landed, so with
+// several workers too each sweep is ordered by all the outcomes before
+// it.
 type RecrawlConfig struct {
 	// Passes is the number of revisit sweeps (0 disables the mode).
 	Passes int
 }
 
-// recrawlCtl is the sequential engine's revisit state: the per-URL
-// change ledger, the pass counter, the freshness counters, and the
-// revisit priority queue for the sweep in progress. It is touched only
-// from the sequential crawl loop (New refuses Recrawl with the parallel
-// engine), so it needs no lock.
+// recrawlCtl is the engine's revisit state: the per-URL change ledger,
+// the pass counter, the freshness counters, and the revisit priority
+// queue for the sweep in progress. It has no lock of its own: workers
+// touch it only under the engine's mu.
 type recrawlCtl struct {
 	cfg   RecrawlConfig
 	recs  map[string]*checkpoint.RevisitRec
@@ -37,13 +39,6 @@ type recrawlCtl struct {
 	rq    *frontier.Heap[qitem]
 	pass  int
 	fresh metrics.FreshCounters
-
-	// cond is the armed conditional request: while a revisit item is in
-	// flight (retries included), fetch adds this URL's validators to the
-	// request. lastVal is the validator pair of the most recent response,
-	// stashed by fetch for the loop to fold into the ledger.
-	cond    string // URL, "" when disarmed
-	lastVal struct{ url, etag, lastMod string }
 }
 
 func newRecrawlCtl(cfg RecrawlConfig) *recrawlCtl {
@@ -72,32 +67,38 @@ func estRate(r *checkpoint.RevisitRec) float64 {
 }
 
 // observeDiscovery registers a first-time successful fetch in the
-// ledger. Only 200s enter: a page that never produced a copy has
-// nothing to keep fresh.
-func (rc *recrawlCtl) observeDiscovery(url string, dist int32, visit *core.Visit) {
+// ledger with the response's validators. Only 200s enter: a page that
+// never produced a copy has nothing to keep fresh.
+func (rc *recrawlCtl) observeDiscovery(url string, dist int32, visit *core.Visit, val validators) {
 	if visit.Status != http.StatusOK {
 		return
 	}
 	if _, ok := rc.recs[url]; ok {
 		return
 	}
-	r := &checkpoint.RevisitRec{URL: url, Dist: dist, Hash: hashBody(visit.Body)}
-	if rc.lastVal.url == url {
-		r.ETag, r.LastMod = rc.lastVal.etag, rc.lastVal.lastMod
-	}
+	r := &checkpoint.RevisitRec{URL: url, Dist: dist, Hash: hashBody(visit.Body), ETag: val.etag, LastMod: val.lastMod}
 	rc.recs[url] = r
 	rc.order = append(rc.order, url)
 }
 
-// next pops the most change-prone pending revisit, starting the next
-// sweep when the current one is exhausted and passes remain. ok=false
-// means the incremental crawl is done.
-func (rc *recrawlCtl) next() (qitem, bool) {
+// next pops the most change-prone pending revisit. When the current
+// sweep is exhausted and mayRefill is set — the engine is quiescent, so
+// every outcome of the sweep is in the ledger — it starts the next one
+// while passes remain. ok=false with mayRefill set means the
+// incremental crawl is done.
+func (rc *recrawlCtl) next(mayRefill bool) (qitem, bool) {
 	for {
 		if it, ok := rc.rq.Pop(); ok {
 			return it, true
 		}
-		if rc.pass >= rc.cfg.Passes || !rc.refill() {
+		if !mayRefill || rc.pass >= rc.cfg.Passes {
+			return qitem{}, false
+		}
+		if !rc.refill() {
+			// Nothing left alive to revisit: the mode ends here, and
+			// the other workers reaching quiescence must not count
+			// further empty sweeps.
+			rc.cfg.Passes = rc.pass
 			return qitem{}, false
 		}
 	}
@@ -120,8 +121,9 @@ func (rc *recrawlCtl) refill() bool {
 	return n > 0
 }
 
-// applyRevisit folds one revisit outcome into the ledger and counters.
-func (rc *recrawlCtl) applyRevisit(url string, visit *core.Visit) {
+// applyRevisit folds one revisit outcome, with the response's
+// validators, into the ledger and counters.
+func (rc *recrawlCtl) applyRevisit(url string, visit *core.Visit, val validators) {
 	r := rc.recs[url]
 	if r == nil {
 		return
@@ -143,27 +145,19 @@ func (rc *recrawlCtl) applyRevisit(url string, visit *core.Visit) {
 		} else {
 			rc.fresh.Unchanged++
 		}
-		if rc.lastVal.url == url {
-			r.ETag, r.LastMod = rc.lastVal.etag, rc.lastVal.lastMod
-		}
+		r.ETag, r.LastMod = val.etag, val.lastMod
 	}
 }
 
-// condFor returns the validators to send with url's in-flight revisit
-// (ok=false for ordinary discovery fetches).
-func (rc *recrawlCtl) condFor(url string) (etag, lastMod string, ok bool) {
-	if rc.cond != url {
-		return "", "", false
-	}
+// validatorsFor returns what url's revisit sends as its conditional
+// request (zero when the ledger has no copy).
+func (rc *recrawlCtl) validatorsFor(url string) validators {
 	r := rc.recs[url]
 	if r == nil {
-		return "", "", false
+		return validators{}
 	}
-	return r.ETag, r.LastMod, true
+	return validators{etag: r.ETag, lastMod: r.LastMod}
 }
-
-func (rc *recrawlCtl) arm(url string) { rc.cond = url }
-func (rc *recrawlCtl) disarm()        { rc.cond = "" }
 
 // pendingEntries snapshots the revisit queue for a checkpoint by
 // draining and re-pushing it, mirroring the engine's frontier snapshot.

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -66,8 +67,9 @@ func runRecrawl(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// TestRecrawlRequiresSequentialEngine pins the New-time validation.
-func TestRecrawlRequiresSequentialEngine(t *testing.T) {
+// TestRecrawlConfigValidation pins the New-time validation: negative
+// Passes are refused, and incremental mode runs at any parallelism.
+func TestRecrawlConfigValidation(t *testing.T) {
 	base := Config{
 		Seeds: []string{"http://x/"}, Strategy: core.BreadthFirst{},
 		Classifier: core.MetaClassifier{Target: charset.LangThai},
@@ -77,80 +79,94 @@ func TestRecrawlRequiresSequentialEngine(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("negative Passes accepted")
 	}
-	bad = base
-	bad.Recrawl.Passes = 1
-	bad.Parallelism = 2
-	if _, err := New(bad); err == nil {
-		t.Error("Recrawl with parallel engine accepted")
-	}
-	bad.Parallelism = 0
-	bad.UseParallelEngine = true
-	if _, err := New(bad); err == nil {
-		t.Error("Recrawl with forced parallel engine accepted")
+	ok := base
+	ok.Recrawl.Passes = 1
+	ok.Parallelism = 4
+	if _, err := New(ok); err != nil {
+		t.Errorf("Recrawl with 4 workers refused: %v", err)
 	}
 }
 
 // TestRecrawlUnchangedSpaceZeroBodyBytes is the conditional-GET payoff
 // test: on a static space, two revisit sweeps transfer zero additional
 // body bytes — every revalidation is answered 304 — and find nothing
-// changed.
+// changed, with one worker and with four.
 func TestRecrawlUnchangedSpaceZeroBodyBytes(t *testing.T) {
-	// One-shot baseline on its own server, to meter discovery's bytes.
-	space, srvOne, client := testWeb(t, 400, 7)
-	one := runRecrawl(t, recrawlConfig(space, client, 0))
-	bytesOneShot := srvOne.BodyBytes()
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			// One-shot baseline on its own server, to meter discovery's
+			// bytes.
+			space, srvOne, client := testWeb(t, 400, 7)
+			cfg := recrawlConfig(space, client, 0)
+			cfg.Parallelism = par
+			one := runRecrawl(t, cfg)
+			bytesOneShot := srvOne.BodyBytes()
 
-	space2, srvTwo, client2 := testWeb(t, 400, 7)
-	res := runRecrawl(t, recrawlConfig(space2, client2, 2))
+			space2, srvTwo, client2 := testWeb(t, 400, 7)
+			cfg = recrawlConfig(space2, client2, 2)
+			cfg.Parallelism = par
+			res := runRecrawl(t, cfg)
 
-	if res.Passes != 2 {
-		t.Fatalf("completed %d passes, want 2", res.Passes)
-	}
-	if res.Fresh.Revisits == 0 {
-		t.Fatal("no revisits happened")
-	}
-	if res.Crawled != one.Crawled+res.Fresh.Revisits {
-		t.Errorf("crawled %d, want discovery %d + revisits %d", res.Crawled, one.Crawled, res.Fresh.Revisits)
-	}
-	if res.Fresh.CondHits != res.Fresh.Revisits || res.Fresh.Unchanged != res.Fresh.Revisits {
-		t.Errorf("unchanged space: %s — every revisit should be a 304", res.Fresh)
-	}
-	if res.Fresh.Changed != 0 || res.Fresh.Deleted != 0 {
-		t.Errorf("phantom changes on a static space: %s", res.Fresh)
-	}
-	if got := srvTwo.BodyBytes(); got != bytesOneShot {
-		t.Errorf("revisit sweeps transferred %d extra body bytes, want 0", got-bytesOneShot)
-	}
-	// Discovery itself is unperturbed by the mode: same page count,
-	// relevance and harvest as the one-shot run.
-	if res.Relevant != one.Relevant {
-		t.Errorf("recrawl run found %d relevant, one-shot %d", res.Relevant, one.Relevant)
+			if res.Passes != 2 {
+				t.Fatalf("completed %d passes, want 2", res.Passes)
+			}
+			if res.Fresh.Revisits == 0 {
+				t.Fatal("no revisits happened")
+			}
+			if res.Crawled != one.Crawled+res.Fresh.Revisits {
+				t.Errorf("crawled %d, want discovery %d + revisits %d", res.Crawled, one.Crawled, res.Fresh.Revisits)
+			}
+			if res.Fresh.CondHits != res.Fresh.Revisits || res.Fresh.Unchanged != res.Fresh.Revisits {
+				t.Errorf("unchanged space: %s — every revisit should be a 304", res.Fresh)
+			}
+			if res.Fresh.Changed != 0 || res.Fresh.Deleted != 0 {
+				t.Errorf("phantom changes on a static space: %s", res.Fresh)
+			}
+			if got := srvTwo.BodyBytes(); got != bytesOneShot {
+				t.Errorf("revisit sweeps transferred %d extra body bytes, want 0", got-bytesOneShot)
+			}
+			// Discovery itself is unperturbed by the mode: same page
+			// count, relevance and harvest as the one-shot run.
+			if res.Relevant != one.Relevant {
+				t.Errorf("recrawl run found %d relevant, one-shot %d", res.Relevant, one.Relevant)
+			}
+		})
 	}
 }
 
 // TestRecrawlDetectsChurn crawls an evolving space whose virtual clock
 // ticks per request: the revisit sweeps must observe real changes and
-// deletions, and account every revisit to exactly one outcome.
+// deletions, and account every revisit to exactly one outcome — with
+// one worker and with four.
 func TestRecrawlDetectsChurn(t *testing.T) {
-	space, _, client := evolvingWeb(t, 400, 7, webgraph.EvolveConfig{
-		Seed:       99,
-		EditRate:   0.004,
-		DeleteRate: 0.0004,
-	}, 1.0) // one virtual second per request
-	res := runRecrawl(t, recrawlConfig(space, client, 2))
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			space, _, client := evolvingWeb(t, 400, 7, webgraph.EvolveConfig{
+				Seed:       99,
+				EditRate:   0.004,
+				DeleteRate: 0.0004,
+			}, 1.0) // one virtual second per request
+			cfg := recrawlConfig(space, client, 2)
+			cfg.Parallelism = par
+			res := runRecrawl(t, cfg)
 
-	if res.Fresh.Revisits == 0 {
-		t.Fatal("no revisits happened")
-	}
-	if res.Fresh.Changed == 0 {
-		t.Error("churning space: no change observed across two sweeps")
-	}
-	if got := res.Fresh.Unchanged + res.Fresh.Changed + res.Fresh.Deleted; got != res.Fresh.Revisits {
-		t.Errorf("revisit outcomes %d do not account for %d revisits (%s)", got, res.Fresh.Revisits, res.Fresh)
-	}
-	// Unchanged pages still answered 304 under churn.
-	if res.Fresh.CondHits == 0 {
-		t.Error("no conditional hits despite unchanged pages")
+			if res.Passes != 2 {
+				t.Errorf("completed %d passes, want 2", res.Passes)
+			}
+			if res.Fresh.Revisits == 0 {
+				t.Fatal("no revisits happened")
+			}
+			if res.Fresh.Changed == 0 {
+				t.Error("churning space: no change observed across two sweeps")
+			}
+			if got := res.Fresh.Unchanged + res.Fresh.Changed + res.Fresh.Deleted; got != res.Fresh.Revisits {
+				t.Errorf("revisit outcomes %d do not account for %d revisits (%s)", got, res.Fresh.Revisits, res.Fresh)
+			}
+			// Unchanged pages still answered 304 under churn.
+			if res.Fresh.CondHits == 0 {
+				t.Error("no conditional hits despite unchanged pages")
+			}
+		})
 	}
 }
 

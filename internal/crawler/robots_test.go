@@ -1,8 +1,16 @@
 package crawler
 
 import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"langcrawl/internal/charset"
+	"langcrawl/internal/core"
+	"langcrawl/internal/urlutil"
 )
 
 const sampleRobots = `# comment
@@ -140,5 +148,51 @@ func TestAllowedEmptyPath(t *testing.T) {
 	r := ParseRobots([]byte("User-agent: *\nDisallow: /\n"), "x")
 	if r.Allowed("") {
 		t.Error("empty path should be treated as / and disallowed")
+	}
+}
+
+// TestRobotsCheckedBeforePoliteness pins the order of the two per-fetch
+// gates: a robots-blocked URL books no politeness slot for its host, and
+// once the robots check has cached the host's rules its Crawl-delay
+// governs even the first real fetch. The clock is frozen, so the ledger
+// entry is exact: one Crawl-delay booked from t0. Checking politeness
+// first would leave t0 + 10ms (the blocked URL's booking) + 3s.
+func TestRobotsCheckedBeforePoliteness(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/robots.txt", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "User-agent: *\nDisallow: /blocked\nCrawl-delay: 3\n")
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		fmt.Fprint(w, "<html><body>no links</body></html>")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	c, err := New(Config{
+		Seeds:        []string{ts.URL + "/blocked", ts.URL + "/page"},
+		Strategy:     core.BreadthFirst{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       ts.Client(),
+		HostInterval: 10 * time.Millisecond,
+		Now:          func() time.Time { return t0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RobotsBlocked != 1 || res.Crawled != 1 {
+		t.Fatalf("blocked %d, crawled %d; want 1 and 1", res.RobotsBlocked, res.Crawled)
+	}
+	host := urlutil.Host(ts.URL + "/page")
+	c.polite.mu.Lock()
+	got, booked := c.polite.next[host]
+	c.polite.mu.Unlock()
+	if want := t0.Add(3 * time.Second); !booked || !got.Equal(want) {
+		t.Errorf("host %s next slot %v (booked %v), want t0 + Crawl-delay = %v", host, got, booked, want)
 	}
 }

@@ -74,12 +74,13 @@ func AppendHTMLPage(dst []byte, spec PageSpec, r *rng.RNG) []byte {
 	return charset.AppendEncode(codec, dst, sb.String())
 }
 
-func escapeHTML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// The replacers are built once: a strings.Replacer is safe for
+// concurrent use, and building one per call dominated page synthesis.
+var (
+	htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "\"", "&quot;", "<", "&lt;")
+)
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "\"", "&quot;", "<", "&lt;")
-	return r.Replace(s)
-}
+func escapeHTML(s string) string { return htmlEscaper.Replace(s) }
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
